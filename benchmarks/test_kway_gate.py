@@ -4,7 +4,7 @@ Runs the end-to-end ``repro bench kway`` harness: recursive-bisection
 scenarios at k in {2, 4, 8} under the connectivity objective plus one
 terminal-propagation placement scenario, executed through every
 execution plane (serial inline, worker pool, unit batching, sticky
-policy, in-run parallel workers).  The gate is a determinism-and-
+policy).  The gate is a determinism-and-
 correctness gate, not a speedup gate: every plane's outcome stream —
 including the per-trial ``k``/``objective`` stamps — must be
 bit-identical to serial, and every k must honor the documented balance

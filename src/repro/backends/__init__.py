@@ -1,4 +1,4 @@
-"""Compiled kernel backends behind the frozen oracles (DESIGN.md §13).
+"""Compiled kernel backends behind the frozen oracles (DESIGN.md §12).
 
 Public surface: the registry.  Kernel modules (:mod:`flatref`,
 :mod:`numba_backend`, :mod:`cnative`) are implementation details

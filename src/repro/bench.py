@@ -941,170 +941,6 @@ def render_orchestrate_bench(result: Dict[str, object]) -> str:
 
 
 # ----------------------------------------------------------------------
-# In-run parallelism plane (``repro bench inrun``)
-# ----------------------------------------------------------------------
-def _start_key(ms) -> List[tuple]:
-    """Timing-free identity of a multistart record stream."""
-    return [(s.seed, s.cut, s.legal) for s in ms.starts]
-
-
-def bench_inrun(
-    instance: str = "ibm01s",
-    scale: int = 16,
-    repeats: int = 3,
-    num_starts: int = 24,
-    workers: int = 4,
-    pool_size: int = 1,
-    seed: int = 0,
-    tolerance: float = 0.1,
-) -> Dict[str, object]:
-    """In-run parallel multistart vs the serial per-start engine.
-
-    Baseline (the pre-in-run code path, frozen semantics): every start
-    rebuilds its coarsening hierarchy in-process with
-    :func:`build_hierarchy` under the pooling seed contract
-    (``hierarchy_seed(seed, i % pool_size)``) and refines serially.
-    Subject: :func:`run_multistart_pooled` with ``workers`` in-run
-    workers — the persistent :class:`~repro.multilevel.parallel.InRunPool`
-    fans the starts out over one shared sticky hierarchy per worker
-    (``pool_size`` hierarchies each), so only ``workers × pool_size``
-    hierarchies are ever built instead of ``num_starts``.
-
-    The workload is the coarsening-dominated regime the in-run pool
-    exists for (no refinement passes, single initial start, many
-    starts); refinement-heavy configurations see proportionally less
-    benefit because fan-out only eliminates repeated coarsening and
-    overlaps the refine legs.
-
-    Equivalence is exact and checked at **every** worker count in
-    ``{1, 2, workers}``: the ``(seed, cut, legal)`` stream and the best
-    assignment of each parallel run must equal the serial pooled run
-    bit for bit (the chunked-proposal merge replays the serial
-    clustering selection loop, so any divergence is a hard failure).
-    Timings are end-to-end per multistart run, minima over ``repeats``
-    with baseline and subject interleaved.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if num_starts < 1:
-        raise ValueError("num_starts must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
-
-    hg = suite_instance(instance, scale=scale)
-    config = MLConfig(refine_passes=0, initial_starts=1)
-
-    def make_engine() -> MLPartitioner:
-        return MLPartitioner(config, tolerance=tolerance, name="ml-fast")
-
-    def run_baseline() -> List[float]:
-        engine = make_engine()
-        cuts: List[float] = []
-        for i in range(num_starts):
-            h = build_hierarchy(
-                hg,
-                config,
-                random.Random(hierarchy_seed(seed, i % pool_size)),
-            )
-            cuts.append(engine.partition(hg, seed=seed + i, hierarchy=h).cut)
-        return cuts
-
-    def run_inrun(n: int):
-        return run_multistart_pooled(
-            make_engine(),
-            hg,
-            num_starts,
-            instance_name=instance,
-            base_seed=seed,
-            pool_size=pool_size,
-            workers=n,
-        )
-
-    # Equivalence sweep (untimed): serial pooled reference vs the
-    # parallel fan-out at every worker count up to ``workers``.
-    serial_ms = run_inrun(1)
-    serial_key = _start_key(serial_ms)
-    worker_counts = sorted({1, 2, workers})
-    per_worker_equivalent: Dict[str, bool] = {}
-    equivalent = True
-    for n in worker_counts:
-        ms = run_inrun(n)
-        ok = (
-            _start_key(ms) == serial_key
-            and ms.best_assignment == serial_ms.best_assignment
-        )
-        per_worker_equivalent[str(n)] = ok
-        equivalent = equivalent and ok
-
-    base_secs: List[float] = []
-    subj_secs: List[float] = []
-    base_cuts: List[float] = []
-    perf_dict: Dict[str, object] = {}
-    for rep in range(repeats):
-        t0 = time.perf_counter()
-        cuts_b = run_baseline()
-        base_secs.append(time.perf_counter() - t0)
-
-        subj_engine = make_engine()
-        subj_engine.perf = PerfCounters()
-        t0 = time.perf_counter()
-        ms = run_multistart_pooled(
-            subj_engine,
-            hg,
-            num_starts,
-            instance_name=instance,
-            base_seed=seed,
-            pool_size=pool_size,
-            workers=workers,
-        )
-        subj_secs.append(time.perf_counter() - t0)
-        perf_dict = subj_engine.perf.as_dict()
-
-        if rep == 0:
-            base_cuts = cuts_b
-        # Bit-identical per start, and deterministic across repeats.
-        equivalent = equivalent and (
-            cuts_b == base_cuts
-            and [s.cut for s in ms.starts] == [k[1] for k in serial_key]
-        )
-
-    best_base = min(base_secs)
-    best_subj = min(subj_secs)
-    speedup = best_base / best_subj if best_subj > 0 else float("inf")
-    cuts = [k[1] for k in serial_key]
-    return {
-        "benchmark": "inrun",
-        "instance": {
-            "name": instance,
-            "scale": scale,
-            "num_vertices": hg.num_vertices,
-            "num_nets": hg.num_nets,
-            "num_pins": hg.num_pins,
-        },
-        "repeats": repeats,
-        "num_starts": num_starts,
-        "workers": workers,
-        "pool_size": pool_size,
-        "seed": seed,
-        "tolerance": tolerance,
-        "shared_memory": shm_available(),
-        "worker_counts": worker_counts,
-        "baseline_seconds": base_secs,
-        "subject_seconds": subj_secs,
-        "best_baseline_seconds": best_base,
-        "best_subject_seconds": best_subj,
-        "speedup": speedup,
-        "equivalent": equivalent,
-        "per_worker_equivalent": per_worker_equivalent,
-        "cuts": cuts,
-        "best_cut": min(cuts),
-        "perf": perf_dict,
-    }
-
-
-# ----------------------------------------------------------------------
 # K-way / scenario campaign plane (``repro bench kway``)
 # ----------------------------------------------------------------------
 def _scenario_outcome_key(outcomes) -> List[tuple]:
@@ -1149,9 +985,9 @@ def bench_kway(
     determinism contract for the new workloads, checked exactly:
 
     * **plane equivalence** — serial inline, the worker pool, unit
-      batching, the sticky-cache policy and in-run parallel workers
-      must all produce bit-identical outcome streams, including the
-      per-trial ``k``/``objective`` stamps;
+      batching and the sticky-cache policy must all produce
+      bit-identical outcome streams, including the per-trial
+      ``k``/``objective`` stamps;
     * **per-scenario balance gate** — for every ``k``, the part
       weights of a fresh partition must satisfy the documented k-way
       balance window ``total/k * (1 +- t*k/(2(k-1)))``, and every
@@ -1204,7 +1040,6 @@ def bench_kway(
     sticky_policy = ExecutionPolicy(
         workers=workers, sticky_cache=True, sticky_pool_size=2
     )
-    inrun_policy = ExecutionPolicy(workers=workers, inrun_workers=2)
 
     base_secs: List[float] = []
     subj_secs: List[float] = []
@@ -1238,7 +1073,6 @@ def bench_kway(
     for label, policy in (
         ("batched", batched_policy),
         ("sticky", sticky_policy),
-        ("inrun", inrun_policy),
     ):
         out = execute_trials(trials, heuristics, instances, policy=policy)
         plane_equivalent[label] = (
@@ -1331,43 +1165,6 @@ def render_kway_bench(result: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def render_inrun_bench(result: Dict[str, object]) -> str:
-    """Human-readable summary for one :func:`bench_inrun` result."""
-    inst = result["instance"]
-    perf = result.get("perf") or {}
-    per_worker = result.get("per_worker_equivalent") or {}
-    sweep = ", ".join(
-        f"{n}:{'ok' if ok else 'FAIL'}"
-        for n, ok in sorted(per_worker.items(), key=lambda kv: int(kv[0]))
-    )
-    lines = [
-        f"In-run parallelism bench — {inst['name']} (scale "
-        f"{inst['scale']}: {inst['num_vertices']} cells, "
-        f"{inst['num_nets']} nets, {inst['num_pins']} pins), "
-        f"{result['num_starts']} start(s), {result['workers']} in-run "
-        f"worker(s), pool size {result['pool_size']}, "
-        f"{result['repeats']} repeat(s), shared memory "
-        f"{'on' if result['shared_memory'] else 'OFF (pickling fallback)'}",
-        "",
-        f"serial engine:     {result['best_baseline_seconds']:8.3f} s "
-        f"(hierarchy rebuilt every start, serial refinement)",
-        f"in-run fan-out:    {result['best_subject_seconds']:8.3f} s "
-        f"({result['workers']}x{result['pool_size']} sticky "
-        f"hierarchies across the worker pool instead of "
-        f"{result['num_starts']}; fan-out "
-        f"{perf.get('inrun_fanout_seconds', 0):.3f} s)",
-        "",
-        f"speedup: {result['speedup']:.2f}x — records bit-identical at "
-        f"every worker count: {'yes' if result['equivalent'] else 'NO'} "
-        f"({sweep})",
-        f"best cut: {result['best_cut']:g}",
-    ]
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Compiled-backend gate (``repro bench backends``)
-# ----------------------------------------------------------------------
 def bench_backends(
     instance: str = "ibm01s",
     scale: int = 16,
@@ -1600,8 +1397,6 @@ def _bench_all_targets(quick: bool):
                 repeats=1)),
             ("orchestrate", lambda: bench_orchestrate(
                 scale=32, repeats=1, num_starts=12)),
-            ("inrun", lambda: bench_inrun(
-                scale=32, repeats=1, num_starts=8, workers=2)),
             ("kway", lambda: bench_kway(
                 scale=32, repeats=1, num_starts=2)),
             ("backends", lambda: bench_backends(scale=32, repeats=2)),
@@ -1611,7 +1406,6 @@ def _bench_all_targets(quick: bool):
         ("ml", bench_ml_coarsen),
         ("eval", bench_eval_bootstrap),
         ("orchestrate", bench_orchestrate),
-        ("inrun", bench_inrun),
         ("kway", bench_kway),
         ("backends", bench_backends),
     )

@@ -433,7 +433,6 @@ BENCH_TARGETS = (
     ("ml", "multilevel coarsening + hierarchy pool vs the seed-oracle path"),
     ("eval", "vectorized evaluation bootstrap vs the pure-Python oracle"),
     ("orchestrate", "campaign orchestration plane vs the frozen worker pool"),
-    ("inrun", "in-run parallel coarsening/multistart vs the serial engine"),
     ("kway", "k-way + terminal-propagation scenarios across every "
              "execution plane"),
     ("backends", "compiled kernel backends vs the interpreted engine "
@@ -447,44 +446,6 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
     print("available bench targets (repro bench <target> --help):")
     for name, desc in BENCH_TARGETS:
         print(f"  {name:12s} {desc}")
-    return 0
-
-
-def cmd_bench_inrun(args: argparse.Namespace) -> int:
-    """In-run parallelism bench vs the serial multistart engine.
-
-    Prints a summary, writes machine-readable JSON, and gates: exit
-    code 1 when the pooled fan-out is below ``--min-speedup`` or any
-    record stream diverges from the serial engine at any worker count.
-    """
-    from repro.bench import bench_inrun, render_inrun_bench, write_bench_json
-
-    result = bench_inrun(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        num_starts=args.num_starts,
-        workers=args.workers,
-        pool_size=args.pool_size,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-    print(render_inrun_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: in-run parallel records diverged from the serial engine",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"error: speedup {result['speedup']:.2f}x below required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -593,17 +554,15 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         sticky_cache=args.sticky_cache,
         sticky_pool_size=args.sticky_pool_size,
         use_shared_memory=not args.no_shared_memory,
-        inrun_workers=args.inrun_workers,
         backend=args.backend,
         progress=ProgressPrinter() if args.progress else None,
         resume=args.resume,
         cli_meta=cli_meta,
     )
-    print(result.report(num_shuffles=args.num_shuffles))
+    report = result.report(num_shuffles=args.num_shuffles)
+    print(report)
     out = Path(args.store_dir) / spec.name
-    (out / "report.txt").write_text(
-        result.report(num_shuffles=args.num_shuffles), encoding="utf-8"
-    )
+    (out / "report.txt").write_text(report, encoding="utf-8")
     _print_perf_totals(RunStore(out))
     print(f"\njournal and report under {out}")
     return 0
@@ -646,14 +605,14 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         sticky_cache=args.sticky_cache,
         sticky_pool_size=args.sticky_pool_size,
         use_shared_memory=not args.no_shared_memory,
-        inrun_workers=args.inrun_workers,
         backend=args.backend,
         progress=ProgressPrinter() if args.progress else None,
         resume=True,
     )
-    print(result.report(num_shuffles=args.num_shuffles))
+    report = result.report(num_shuffles=args.num_shuffles)
+    print(report)
     (Path(args.campaign_dir) / "report.txt").write_text(
-        result.report(num_shuffles=args.num_shuffles), encoding="utf-8"
+        report, encoding="utf-8"
     )
     _print_perf_totals(store)
     print(f"\njournal and report under {args.campaign_dir}")
@@ -829,7 +788,6 @@ def _job_spec_from_args(args: argparse.Namespace):
         priority=args.priority,
         timeout_seconds=args.timeout,
         max_retries=args.retries,
-        inrun_workers=args.inrun_workers,
         backend=args.backend,
     )
 
@@ -1089,31 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench_orchestrate)
 
     b = bsub.add_parser(
-        "inrun",
-        help="in-run parallel coarsening + multistart fan-out vs the "
-        "serial engine (writes BENCH_inrun.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="synthetic suite instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="suite scale divisor (default 16 = acceptance size)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="timed multistart runs per path (min is reported)")
-    b.add_argument("--num-starts", type=int, default=24,
-                   help="starts per multistart run (default 24)")
-    b.add_argument("--workers", type=int, default=4,
-                   help="in-run workers for the parallel path (default 4)")
-    b.add_argument("--pool-size", type=int, default=1,
-                   help="hierarchies in the shared pool (default 1)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.1)
-    b.add_argument("--min-speedup", type=float, default=2.0,
-                   help="fail (exit 1) below this end-to-end speedup "
-                   "(default 2.0; pass 0 to disable the gate)")
-    b.add_argument("-o", "--output", default="BENCH_inrun.json")
-    b.set_defaults(func=cmd_bench_inrun)
-
-    b = bsub.add_parser(
         "kway",
         help="k-way + terminal-propagation scenarios across every "
         "execution plane (writes BENCH_kway.json)",
@@ -1200,12 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-shared-memory", action="store_true",
             help="ship instances to workers by pickling instead of the "
             "shared-memory plane",
-        )
-        c.add_argument(
-            "--inrun-workers", type=int, default=1,
-            help="parallel-proposal workers inside each trial's "
-            "coarsening (fair-share clamped against --workers; "
-            "records are bit-identical at any value)",
         )
         c.add_argument(
             "--backend", default=None,
@@ -1349,9 +1276,6 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--timeout", type=float, default=None,
                    help="per-trial wall-clock timeout in seconds")
     j.add_argument("--retries", type=int, default=0)
-    j.add_argument("--inrun-workers", type=int, default=1,
-                   help="in-run parallel workers per trial (clamped "
-                   "against the service fleet; records unchanged)")
     j.add_argument("--backend", default=None,
                    help="kernel backend for this job's trials (numpy, "
                    "flatref, numba, cnative, cython, auto); selectable "

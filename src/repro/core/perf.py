@@ -67,21 +67,14 @@ class PerfCounters:
     coarsen_nets_dropped:
         Projected nets dropped for collapsing below two pins.
     coarsen_seconds:
-        Wall-clock seconds spent building coarsening levels.
+        Wall-clock seconds spent building coarsening hierarchies (each
+        ``build_hierarchy`` call timed once, matching and contraction
+        included).
     hierarchies_built:
         Full coarsening hierarchies constructed from scratch.
     hierarchies_reused:
         Multistart/V-cycle starts served from an already-built pooled
         hierarchy instead of re-coarsening.
-    inrun_proposal_seconds:
-        Wall-clock seconds the in-run parallel engine spent waiting for
-        chunked matching-proposal computation (driver perspective).
-    inrun_merge_seconds:
-        Wall-clock seconds spent in the serial fixed-order proposal
-        merge that turns chunked proposals into the final cluster map.
-    inrun_fanout_seconds:
-        Wall-clock seconds spent dispatching multistart starts to the
-        in-run worker pool and collecting their results.
     """
 
     #: Deterministic event-count fields: pure functions of (instance,
@@ -108,16 +101,10 @@ class PerfCounters:
 
     #: Scalar wall-clock fields: machine- and load-dependent, never
     #: compared for equality (``pass_seconds`` is the per-pass list and
-    #: is excluded from wire formats).  The ``inrun_*`` trio times the
-    #: in-run parallel engine's stages; they stay timing-only so the
-    #: deterministic count fields remain exactly equal between serial
-    #: and parallel runs.
+    #: is excluded from wire formats).
     TIMING_FIELDS = (
         "total_seconds",
         "coarsen_seconds",
-        "inrun_proposal_seconds",
-        "inrun_merge_seconds",
-        "inrun_fanout_seconds",
         "compile_seconds",
     )
 
@@ -140,9 +127,6 @@ class PerfCounters:
     coarsen_seconds: float = 0.0
     hierarchies_built: int = 0
     hierarchies_reused: int = 0
-    inrun_proposal_seconds: float = 0.0
-    inrun_merge_seconds: float = 0.0
-    inrun_fanout_seconds: float = 0.0
     #: Kernel backend that executed the run ("" = unreported; "mixed"
     #: after merging runs from different backends).  A string, so it is
     #: handled specially everywhere COUNT/TIMING fields are iterated.
@@ -177,9 +161,6 @@ class PerfCounters:
         self.coarsen_seconds += other.coarsen_seconds
         self.hierarchies_built += other.hierarchies_built
         self.hierarchies_reused += other.hierarchies_reused
-        self.inrun_proposal_seconds += other.inrun_proposal_seconds
-        self.inrun_merge_seconds += other.inrun_merge_seconds
-        self.inrun_fanout_seconds += other.inrun_fanout_seconds
         self.compile_seconds += other.compile_seconds
         if other.backend:
             if not self.backend:
@@ -218,9 +199,6 @@ class PerfCounters:
             "coarsen_seconds": self.coarsen_seconds,
             "hierarchies_built": self.hierarchies_built,
             "hierarchies_reused": self.hierarchies_reused,
-            "inrun_proposal_seconds": self.inrun_proposal_seconds,
-            "inrun_merge_seconds": self.inrun_merge_seconds,
-            "inrun_fanout_seconds": self.inrun_fanout_seconds,
             "backend": self.backend,
             "compile_seconds": self.compile_seconds,
         }

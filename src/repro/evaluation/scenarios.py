@@ -27,7 +27,7 @@ Determinism contract: a scenario trial is a pure function of
 ``(scenario, instance, seed)`` — engines are built fresh per call from
 the declarative fields, the placer seeds its private RNG from the trial
 seed — so scenario campaigns inherit the orchestrator's guarantees
-(records bit-identical serial vs batched/sticky/in-run-parallel,
+(records bit-identical serial vs pool/batched/sticky,
 journals resumable after a kill) with no extra machinery.  Adapters are
 picklable (they hold only the frozen scenario), which is what lets the
 pool and service fleets ship them in spawn payloads.

@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import scipy.stats
-
 from repro.evaluation.records import TrialRecord
 
 
@@ -76,6 +74,8 @@ def paired_wilcoxon(
     if all(d == 0 for d in diffs):
         p_value = 1.0
     else:
+        import scipy.stats  # lazy: costs ~0.5 s at CLI import
+
         p_value = float(scipy.stats.wilcoxon(xs, ys).pvalue)
     return ComparisonResult(
         heuristic_a=heuristic_a,
@@ -98,6 +98,8 @@ def mann_whitney(
     ra, rb = _cuts_by_heuristic(records, heuristic_a, heuristic_b)
     xs = [r.cut for r in ra]
     ys = [r.cut for r in rb]
+    import scipy.stats  # lazy: costs ~0.5 s at CLI import
+
     p_value = float(scipy.stats.mannwhitneyu(xs, ys).pvalue)
     return ComparisonResult(
         heuristic_a=heuristic_a,

@@ -11,14 +11,6 @@ from repro.multilevel.matching import (
     restricted_matching,
 )
 from repro.multilevel.mlpart import MLConfig, MLPartitioner
-from repro.multilevel.parallel import (
-    InRunPool,
-    build_hierarchy_parallel,
-    clamp_inrun_workers,
-    close_inrun_pools,
-    get_inrun_pool,
-    parallel_clustering,
-)
 from repro.multilevel.pool import (
     Hierarchy,
     HierarchyPool,
@@ -32,16 +24,10 @@ __all__ = [
     "CoarseLevel",
     "Hierarchy",
     "HierarchyPool",
-    "InRunPool",
     "MLConfig",
     "MLPartitioner",
     "build_hierarchy",
-    "build_hierarchy_parallel",
-    "clamp_inrun_workers",
-    "close_inrun_pools",
     "coarsen",
-    "get_inrun_pool",
-    "parallel_clustering",
     "first_choice_clustering",
     "heavy_edge_matching",
     "hierarchy_seed",

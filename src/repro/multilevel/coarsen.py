@@ -29,7 +29,6 @@ same float weight accumulation order — but computes it on flat arrays:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -91,7 +90,6 @@ def coarsen(
     renumbered densely.  Raises ``ValueError`` on negative ids or a map
     of the wrong length.
     """
-    t0 = time.perf_counter() if perf is not None else 0.0
     n = hypergraph.num_vertices
     if len(cluster_of) != n:
         raise ValueError("cluster_of length mismatch")
@@ -102,7 +100,7 @@ def coarsen(
         # dict-based renumbering below.  Negative ids are detected inside
         # the kernel, which reports the first offending vertex so the
         # error is identical to the interpreted path's.
-        level = _coarsen_kernel(hypergraph, cluster_of, ks, perf, t0)
+        level = _coarsen_kernel(hypergraph, cluster_of, ks, perf)
         if level is not None:
             return level
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
@@ -222,7 +220,6 @@ def coarsen(
         perf.coarsen_nets_projected += m
         perf.coarsen_nets_merged += merged
         perf.coarsen_nets_dropped += dropped
-        perf.coarsen_seconds += time.perf_counter() - t0
     return CoarseLevel(fine=hypergraph, coarse=coarse, cluster_of=mapped)
 
 
@@ -231,7 +228,6 @@ def _coarsen_kernel(
     cluster_of: List[int],
     ks,
     perf: Optional[PerfCounters],
-    t0: float,
 ) -> Optional[CoarseLevel]:
     """Contract through a compiled backend kernel (bit-identical)."""
     from repro.backends.flatcache import flat_csr
@@ -269,7 +265,6 @@ def _coarsen_kernel(
         perf.coarsen_nets_projected += m
         perf.coarsen_nets_merged += int(out[3])
         perf.coarsen_nets_dropped += int(out[4])
-        perf.coarsen_seconds += time.perf_counter() - t0
     return CoarseLevel(
         fine=hypergraph, coarse=coarse, cluster_of=mapped.tolist()
     )

@@ -80,11 +80,6 @@ class MLConfig:
     vcycles:
         Number of V-cycle refinement rounds applied to the final
         solution of each start.
-    inrun_workers:
-        In-run parallel workers for hierarchy construction (chunked
-        matching proposals merged deterministically — bit-identical to
-        serial at any value; see :mod:`repro.multilevel.parallel`).
-        1 keeps the serial kernels.
     backend:
         Kernel backend for refinement, matching and contraction
         (``None`` = process default / ``REPRO_BACKEND`` / numpy; see
@@ -100,7 +95,6 @@ class MLConfig:
     refine_passes: int = 4
     clustering: str = "heavy_edge"
     vcycles: int = 0
-    inrun_workers: int = 1
     backend: Optional[str] = None
 
     def describe(self) -> str:
@@ -125,10 +119,6 @@ class MLPartitioner:
         When True, run the frozen seed coarsening/rollback code paths
         end to end (see module docstring).  The benchmark baseline;
         never faster, always bit-equivalent.
-    inrun_workers:
-        Overrides ``config.inrun_workers`` when given: in-run parallel
-        workers for hierarchy construction (bit-identical to serial;
-        clamped to 1 inside daemonic pool workers and in oracle mode).
     backend:
         Overrides the configured kernel backend when given (explicit
         argument > ``fm_config.backend`` > ``config.backend`` > process
@@ -142,7 +132,6 @@ class MLPartitioner:
         tolerance: float = 0.02,
         name: Optional[str] = None,
         oracle: bool = False,
-        inrun_workers: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else MLConfig()
@@ -155,11 +144,6 @@ class MLPartitioner:
         #: Resolved backend request threaded into every engine,
         #: matching and contraction call (None = process default).
         self.backend = backend
-        if inrun_workers is None:
-            inrun_workers = getattr(self.config, "inrun_workers", 1)
-        if inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
-        self.inrun_workers = inrun_workers
         if self.config.clustering not in (
             "heavy_edge",
             "first_choice",
@@ -265,7 +249,15 @@ class MLPartitioner:
         fixed = list(fixed_parts) if fixed_parts else None
 
         if hierarchy is None:
-            hierarchy = self._build_hierarchy(hypergraph, cfg, rng, fixed)
+            hierarchy = build_hierarchy(
+                hypergraph,
+                cfg,
+                rng,
+                fixed_parts=fixed,
+                oracle=self.oracle,
+                perf=self.perf,
+                backend=self.backend,
+            )
         else:
             if hierarchy.hypergraph is not hypergraph:
                 raise ValueError(
@@ -316,43 +308,6 @@ class MLPartitioner:
             part_weights=list(final.part_weights),
             legal=balance.is_legal(final.part_weights),
             runtime_seconds=time.perf_counter() - start_time,
-        )
-
-    # ------------------------------------------------------------------
-    def _build_hierarchy(self, hypergraph, cfg, rng, fixed) -> Hierarchy:
-        """Coarsen for one standalone start, in-run parallel when asked.
-
-        The parallel-proposal build is bit-identical to the serial one,
-        so the choice (including the daemon clamp inside campaign
-        workers) never changes the result — only wall-clock.  The
-        frozen oracle path always builds serially.
-        """
-        if self.inrun_workers > 1 and not self.oracle:
-            from repro.multilevel.parallel import (
-                build_hierarchy_parallel,
-                clamp_inrun_workers,
-                get_inrun_pool,
-            )
-
-            effective = clamp_inrun_workers(self.inrun_workers)
-            if effective > 1:
-                return build_hierarchy_parallel(
-                    hypergraph,
-                    cfg,
-                    rng,
-                    get_inrun_pool(effective),
-                    fixed_parts=fixed,
-                    perf=self.perf,
-                    backend=self.backend,
-                )
-        return build_hierarchy(
-            hypergraph,
-            cfg,
-            rng,
-            fixed_parts=fixed,
-            oracle=self.oracle,
-            perf=self.perf,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------

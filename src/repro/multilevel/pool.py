@@ -261,13 +261,10 @@ class HierarchyPool:
     construction means a pool sized larger than the actual start count
     never builds unused hierarchies.
 
-    ``get`` is safe under concurrent callers (in-run workers racing for
-    the same slot): a double-checked build lock guarantees exactly one
-    build per slot, so ``num_built`` and the perf counters never count a
-    hierarchy twice.  ``inrun_workers > 1`` builds hierarchies with the
-    parallel-proposal engine (:mod:`repro.multilevel.parallel`), which
-    is bit-identical to the serial build; the frozen seed oracle always
-    builds serially.
+    ``get`` is safe under concurrent callers racing for the same slot:
+    a double-checked build lock guarantees exactly one build per slot,
+    so ``num_built`` and the perf counters never count a hierarchy
+    twice.
     """
 
     def __init__(
@@ -279,13 +276,10 @@ class HierarchyPool:
         fixed_parts: Optional[Sequence[Optional[int]]] = None,
         oracle: bool = False,
         perf: Optional[PerfCounters] = None,
-        inrun_workers: int = 1,
         backend: Optional[str] = None,
     ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        if inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
         self.hypergraph = hypergraph
         self.config = config
         self.size = size
@@ -293,7 +287,6 @@ class HierarchyPool:
         self.fixed_parts = list(fixed_parts) if fixed_parts else None
         self.oracle = oracle
         self.perf = perf if perf is not None else PerfCounters()
-        self.inrun_workers = inrun_workers
         self.backend = backend if backend is not None else config_backend(config)
         self._hierarchies: List[Optional[Hierarchy]] = [None] * size
         self._build_lock = threading.Lock()
@@ -301,25 +294,6 @@ class HierarchyPool:
     def _build(self, j: int) -> Hierarchy:
         seed = hierarchy_seed(self.base_seed, j)
         rng = random.Random(seed)
-        if self.inrun_workers > 1 and not self.oracle:
-            from repro.multilevel.parallel import (
-                build_hierarchy_parallel,
-                clamp_inrun_workers,
-                get_inrun_pool,
-            )
-
-            effective = clamp_inrun_workers(self.inrun_workers)
-            if effective > 1:
-                return build_hierarchy_parallel(
-                    self.hypergraph,
-                    self.config,
-                    rng,
-                    get_inrun_pool(effective),
-                    fixed_parts=self.fixed_parts,
-                    perf=self.perf,
-                    seed=seed,
-                    backend=self.backend,
-                )
         return build_hierarchy(
             self.hypergraph,
             self.config,
@@ -364,7 +338,6 @@ def run_multistart_pooled(
     pool_size: int = 2,
     fixed_parts: Optional[Sequence[Optional[int]]] = None,
     pool: Optional[HierarchyPool] = None,
-    workers: int = 1,
 ) -> MultistartResult:
     """Multistart driver drawing hierarchies from a seeded pool.
 
@@ -376,36 +349,9 @@ def run_multistart_pooled(
 
     A pre-built ``pool`` may be supplied (it must match ``hypergraph``);
     otherwise one is created from ``partitioner.config``.
-
-    ``workers > 1`` fans the starts out across the persistent in-run
-    worker pool (:mod:`repro.multilevel.parallel`); the record stream is
-    bit-identical to the serial loop — only wall-clock changes.  The
-    serial path is used when a pre-built ``pool`` is supplied (its
-    hierarchies live in this process) or when fair-share clamping says
-    so (e.g. inside a daemonic campaign worker).
     """
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
-    if workers > 1 and pool is None:
-        from repro.multilevel.parallel import (
-            clamp_inrun_workers,
-            get_inrun_pool,
-            run_starts_pooled,
-        )
-
-        effective = clamp_inrun_workers(workers)
-        if effective > 1:
-            return run_starts_pooled(
-                get_inrun_pool(effective),
-                partitioner,
-                hypergraph,
-                num_starts,
-                instance_name=instance_name,
-                base_seed=base_seed,
-                pool_size=pool_size,
-                fixed_parts=fixed_parts,
-                perf=getattr(partitioner, "perf", None),
-            )
     if pool is None:
         pool = HierarchyPool(
             hypergraph,

@@ -186,7 +186,6 @@ class _TrialExecutor:
         sticky_pool_size: int = 2,
         zero_copy: bool = False,
         collect_perf: bool = False,
-        inrun_workers: int = 1,
         backend: Optional[str] = None,
     ) -> None:
         self.heuristics = heuristics
@@ -212,10 +211,6 @@ class _TrialExecutor:
             self._compile_pending += compile_seconds
             if not self._backend_name or name == backend:
                 self._backend_name = resolved
-        #: In-run parallel workers for sticky hierarchy builds.  Safe to
-        #: carry anywhere: HierarchyPool clamps to the serial path in
-        #: daemonic pool workers, and parallel builds are bit-identical.
-        self.inrun_workers = inrun_workers
         #: Perf counters ride the result queue per trial; collecting is
         #: opt-in (the caller passed ``perf_totals``) so campaigns that
         #: don't ask never pay the extra wire weight.
@@ -273,7 +268,6 @@ class _TrialExecutor:
                 base_seed=base_seed,
                 fixed_parts=fp,
                 oracle=getattr(partitioner, "oracle", False),
-                inrun_workers=self.inrun_workers,
                 backend=pool_backend,
             )
             self._pools[key] = pool
@@ -284,9 +278,7 @@ class _TrialExecutor:
         return pool.get(plan.start)
 
     # -- one trial ------------------------------------------------------
-    def run(
-        self, plan: TrialPlan, with_assignment: bool = False
-    ) -> Tuple[tuple, Optional[Dict[str, float]]]:
+    def run(self, plan: TrialPlan) -> Tuple[tuple, Optional[Dict[str, float]]]:
         """Execute one trial.
 
         Returns ``((cut, runtime_seconds, legal, k, objective),
@@ -295,10 +287,7 @@ class _TrialExecutor:
         ``collect_perf``).  ``k``/``objective`` come from the
         partitioner's own attributes (2-way/"cut" for plain
         bipartitioners), computed worker-side so every execution plane
-        stamps records identically.  ``with_assignment`` appends the
-        per-start assignment to the payload (the in-run multistart
-        fan-out needs it to reconstruct ``best_assignment``); the
-        journal tuple stays untouched.
+        stamps records identically.
         """
         partitioner = self.heuristics[plan.heuristic]
         hg = self.instance(plan.instance)
@@ -346,8 +335,6 @@ class _TrialExecutor:
             int(getattr(partitioner, "k", 2)),
             str(getattr(partitioner, "objective", "cut")),
         )
-        if with_assignment:
-            payload = payload + (list(result.assignment),)
         return payload, None if perf is None else _perf_to_wire(perf)
 
 
@@ -360,16 +347,15 @@ def build_payload(
     sticky_pool_size: int = 2,
     zero_copy: bool = False,
     collect_perf: bool = False,
-    inrun_workers: int = 1,
     backend: Optional[str] = None,
 ) -> bytes:
     """Serialize one execution context (heuristics, instance handles and
     cache knobs) into the once-pickled spawn payload a worker consumes
-    via :func:`executor_from_payload`.  Shared by the campaign pool, the
-    multi-tenant service fleet and the in-run fan-out pool, so all three
-    hand workers identical contexts.  ``backend`` rides the payload so
-    every worker re-applies the kernel-backend default and pays JIT
-    warm-up at attach time, not inside its first trial."""
+    via :func:`executor_from_payload`.  Shared by the campaign pool and
+    the multi-tenant service fleet, so both hand workers identical
+    contexts.  ``backend`` rides the payload so every worker re-applies
+    the kernel-backend default and pays JIT warm-up at attach time, not
+    inside its first trial."""
     return pickle.dumps(
         (
             heuristics,
@@ -379,7 +365,6 @@ def build_payload(
             sticky_pool_size,
             zero_copy,
             collect_perf,
-            inrun_workers,
             backend,
         ),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -397,7 +382,6 @@ def executor_from_payload(payload_blob: bytes) -> "_TrialExecutor":
         sticky_pool_size,
         zero_copy,
         collect_perf,
-        inrun_workers,
         backend,
     ) = pickle.loads(payload_blob)
     return _TrialExecutor(
@@ -408,7 +392,6 @@ def executor_from_payload(payload_blob: bytes) -> "_TrialExecutor":
         sticky_pool_size=sticky_pool_size,
         zero_copy=zero_copy,
         collect_perf=collect_perf,
-        inrun_workers=inrun_workers,
         backend=backend,
     )
 
@@ -572,11 +555,6 @@ class ExecutionPolicy:
     #: records; the pure-Python FM inner loops run ~1.5x slower on
     #: scalar numpy reads, so materializing is the speed default.
     zero_copy: bool = False
-    #: In-run parallel workers per trial (parallel-proposal coarsening
-    #: for sticky hierarchy builds).  Composes with ``workers`` via
-    #: fair-share clamping — ``workers x inrun_workers`` never exceeds
-    #: the fleet — and is bit-identical to serial at any value.
-    inrun_workers: int = 1
     #: Kernel backend for every trial (None = process default /
     #: ``REPRO_BACKEND`` / numpy).  Like the dispatch knobs this tunes
     #: only where time goes: backends are selectable solely when
@@ -586,8 +564,6 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -602,16 +578,6 @@ class ExecutionPolicy:
         """Timeouts require process isolation, so a timeout forces the
         pool even with one worker."""
         return self.workers > 1 or self.timeout_seconds is not None
-
-    @property
-    def inrun_effective(self) -> int:
-        """``inrun_workers`` after fair-share clamping against the
-        trial-level worker count (and the daemon guard)."""
-        from repro.multilevel.parallel import clamp_inrun_workers
-
-        return clamp_inrun_workers(
-            self.inrun_workers, trial_workers=self.workers
-        )
 
 
 def execute_trials(
@@ -687,7 +653,6 @@ def _execute_inline(trials, heuristics, instances, fixed_parts, policy,
         sticky_cache=policy.sticky_cache,
         sticky_pool_size=policy.sticky_pool_size,
         collect_perf=perf_totals is not None,
-        inrun_workers=policy.inrun_effective,
         backend=policy.backend,
     )
     outcomes: List[TrialOutcome] = []
@@ -765,7 +730,6 @@ def _execute_pool(trials, heuristics, instances, fixed_parts, policy,
         sticky_pool_size=policy.sticky_pool_size,
         zero_copy=policy.zero_copy,
         collect_perf=perf_totals is not None,
-        inrun_workers=policy.inrun_effective,
         backend=policy.backend,
     )
     spawn = lambda: _Worker(ctx, result_q, payload_blob)

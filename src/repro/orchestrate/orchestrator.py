@@ -210,7 +210,6 @@ def orchestrate_campaign(
     sticky_pool_size: int = 2,
     use_shared_memory: bool = True,
     zero_copy: bool = False,
-    inrun_workers: int = 1,
     backend: Optional[str] = None,
     fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
     progress: Optional[ProgressCallback] = None,
@@ -240,7 +239,6 @@ def orchestrate_campaign(
             sticky_pool_size=sticky_pool_size,
             use_shared_memory=use_shared_memory,
             zero_copy=zero_copy,
-            inrun_workers=inrun_workers,
             backend=backend,
         ),
         fixed_parts=fixed_parts,

@@ -254,15 +254,22 @@ class RunStore:
         os.replace(tmp, self.perf_path)
 
     def load_perf(self) -> Dict[str, PerfCounters]:
-        """Per-heuristic counters from ``perf.json`` (empty if absent)."""
+        """Per-heuristic counters from ``perf.json`` (empty if absent).
+
+        Keys that are not current counter fields (written by an older
+        version) are ignored.
+        """
         if not self.perf_path.exists():
             return {}
         raw = json.loads(self.perf_path.read_text(encoding="utf-8"))
+        known = set(PerfCounters.COUNT_FIELDS + PerfCounters.TIMING_FIELDS)
+        known.add("backend")
         out: Dict[str, PerfCounters] = {}
         for heuristic, fields in raw.items():
             perf = PerfCounters()
             for field_name, value in fields.items():
-                setattr(perf, field_name, value)
+                if field_name in known:
+                    setattr(perf, field_name, value)
             out[heuristic] = perf
         return out
 

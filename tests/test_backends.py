@@ -265,7 +265,6 @@ class TestNumbaFallback:
                    use_shared_memory=False) == plain
         assert run("batched", backend="numba", workers=2, batch_size=2,
                    use_shared_memory=False) == plain
-        assert run("inrun", backend="numba", inrun_workers=2) == plain
         # Sticky caching draws hierarchy seeds from the pooled stream,
         # so its reference is a sticky run without the backend request.
         sticky = run("sticky-ref", sticky_cache=True)

@@ -172,6 +172,34 @@ class TestCampaignCLI:
         assert (campaign_dir / "journal.jsonl").exists()
         assert (campaign_dir / "report.txt").exists()
 
+    def test_report_rendered_once(self, hgr_path, tmp_path, capsys,
+                                  monkeypatch):
+        """``campaign run`` renders the report once, prints it and writes
+        the same text to ``report.txt``."""
+        from repro.evaluation.campaign import CampaignResult
+
+        calls = []
+        real_report = CampaignResult.report
+
+        def counting_report(self, *args, **kwargs):
+            calls.append(1)
+            return real_report(self, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignResult, "report", counting_report)
+        assert self._run(hgr_path, tmp_path) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        report = (tmp_path / "campaigns" / "cli-orch" / "report.txt")
+        text = report.read_text(encoding="utf-8")
+        assert "Pairwise significance" in text
+        assert out.startswith(text + "\n")
+
+    def test_retired_inrun_flag_rejected(self, hgr_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._run(hgr_path, tmp_path, "--inrun-workers", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_rerun_refuses_without_resume(self, hgr_path, tmp_path, capsys):
         assert self._run(hgr_path, tmp_path) == 0
         capsys.readouterr()
@@ -214,3 +242,34 @@ class TestCampaignCLI:
         ) == 0
         assert "Pairwise significance" in capsys.readouterr().out
         assert store.status().done == 8
+
+
+class TestBenchCLI:
+    def test_bare_bench_lists_targets(self, capsys):
+        assert main(["bench"]) == 0
+        out = capsys.readouterr().out
+        for target in ("fm", "ml", "eval", "orchestrate", "kway",
+                       "backends", "all"):
+            assert target in out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` is imported lazily by the significance tests, so
+    importing the CLI (and every spawned worker) does not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert out.strip() == "False"

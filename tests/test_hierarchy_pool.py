@@ -9,6 +9,7 @@ bit-identical to the frozen seed-oracle path, which is what turns the
 """
 
 import random
+import time
 
 import pytest
 
@@ -74,6 +75,16 @@ class TestBuildHierarchy:
         assert perf.hierarchies_built == 1
         assert perf.coarsen_levels == h.num_levels > 0
         assert perf.coarsen_seconds > 0.0
+
+    def test_coarsen_seconds_within_wall_time(self):
+        """``coarsen_seconds`` times each build once: contraction time
+        is part of the build total, not added to it a second time."""
+        big = generate_circuit(2000, seed=5)
+        perf = PerfCounters()
+        t0 = time.perf_counter()
+        build_hierarchy(big, MLConfig(), random.Random(0), perf=perf)
+        wall = time.perf_counter() - t0
+        assert 0.0 < perf.coarsen_seconds <= wall
 
     def test_fixed_signature(self, hg):
         fixed = [None] * hg.num_vertices
@@ -273,6 +284,17 @@ class TestPooledMultistart:
                 oracle_engine.partition(hg, seed=i, hierarchy=h).cut
             )
         assert [s.cut for s in pooled.starts] == oracle_cuts
+
+    def test_fixed_vertices_through_pooled_multistart(self, hg):
+        fixed = [None] * hg.num_vertices
+        for v in range(0, 20):
+            fixed[v] = v % 2
+        ms = run_multistart_pooled(
+            MLPartitioner(tolerance=0.1), hg, 4, base_seed=0, pool_size=1,
+            fixed_parts=fixed,
+        )
+        for v in range(0, 20):
+            assert ms.best_assignment[v] == v % 2
 
     def test_best_assignment_matches_best_cut(self, hg):
         ms = run_multistart_pooled(

@@ -178,6 +178,29 @@ class TestResume:
         assert len(executed) == 2  # only the missing trials ran
         assert record_key(resumed.records) == record_key(full.records)
 
+    def test_sticky_resume_journal_identical(self, tmp_path, hg):
+        """A half-journaled sticky-cache multilevel campaign resumes to
+        the records of an uninterrupted one: sticky pools pick
+        hierarchies by start index, not by which trials already ran."""
+        from repro.multilevel import MLConfig, MLPartitioner
+
+        ml_spec = CampaignSpec(
+            name="sticky",
+            heuristics=[MLPartitioner(MLConfig(), tolerance=0.1, name="ml")],
+            instances={"c100": hg},
+            num_starts=6,
+        )
+        full = orchestrate_campaign(
+            ml_spec, store_dir=tmp_path, sticky_cache=True
+        )
+        store = RunStore(tmp_path / "sticky")
+        lines = store.journal_path.read_text().splitlines(True)
+        store.journal_path.write_text("".join(lines[:3]))  # kill midway
+        resumed = orchestrate_campaign(
+            ml_spec, store_dir=tmp_path, sticky_cache=True, resume=True
+        )
+        assert record_key(resumed.records) == record_key(full.records)
+
     def test_resume_of_complete_store_runs_nothing(self, tmp_path, spec):
         orchestrate_campaign(spec, store_dir=tmp_path)
         executed = []

@@ -12,6 +12,7 @@ from collections import deque
 
 import pytest
 
+from repro.core.perf import PerfCounters
 from repro.hypergraph.shm import ShmHandle
 from repro.instances import generate_circuit
 from repro.orchestrate import orchestrate_campaign
@@ -239,6 +240,46 @@ class TestFairShareScheduler:
         finally:
             scheduler.stop()
 
+    def test_sticky_job_record_identical_to_standalone(self, tmp_path):
+        """A sticky-cache multilevel job on the fleet journals the same
+        records as the standalone serial orchestrator."""
+        spec = tiny_spec("sticky", engines=("ml-clip",), sticky_cache=True)
+        instances = {src.label: src.load() for src in spec.instances}
+        campaign = spec.campaign_spec(instances)
+        plan = expand_spec(campaign)
+        store = RunStore(tmp_path / "job")
+        store.initialize({"name": spec.name, "total_trials": len(plan),
+                          "alpha": spec.alpha})
+        heuristics = {
+            getattr(h, "name", type(h).__name__): h
+            for h in campaign.heuristics
+        }
+        handles = {
+            label: ShmHandle(segment=None, fallback=hg)
+            for label, hg in instances.items()
+        }
+        job = ServiceJob(
+            job_id="sticky0",
+            store=store,
+            total=len(plan),
+            payload_blob=build_payload(
+                heuristics, handles, sticky_cache=True,
+                sticky_pool_size=spec.sticky_pool_size,
+            ),
+            pending=deque(PendingTrial(p) for p in plan),
+            priority=spec.priority,
+        )
+        scheduler = FairShareScheduler(workers=2)
+        scheduler.start()
+        try:
+            scheduler.submit(job)
+            assert wait_for(lambda: job.status == JOB_DONE)
+        finally:
+            scheduler.stop()
+        assert outcome_key(store.outcomes()) == standalone_keys(
+            spec, tmp_path
+        )
+
     def test_starvation_bound(self, tmp_path):
         """A priority-1 job keeps progressing under a priority-8 flood
         on a single worker: DRR guarantees it one trial per replenish
@@ -393,6 +434,59 @@ class TestServiceRecovery:
             assert again == report  # same journal, same bytes
         finally:
             svc2.close()
+
+    def test_recover_loads_legacy_job_and_perf_json(self, tmp_path):
+        """Stores written before the in-run knob was retired still load:
+        a ``job.json`` whose spec carries ``inrun_workers`` recovers, and
+        a ``perf.json`` with the old ``inrun_*_seconds`` keys reads."""
+        spec = tiny_spec("legacy")
+        wire = spec.to_json()
+        assert "inrun_workers" not in wire
+        legacy_wire = dict(wire, inrun_workers=2)
+        assert JobSpec.from_json(legacy_wire) == spec
+
+        svc = CampaignService(tmp_path / "svc", workers=1,
+                              use_shared_memory=False)
+        job_id = svc.submit(spec)
+        assert svc.wait(job_id, timeout=60) == JOB_DONE
+        directory = svc._records[job_id].directory
+        svc.close()
+        job_json = directory / "job.json"
+        data = json.loads(job_json.read_text())
+        data["status"] = "active"
+        data["spec"] = legacy_wire
+        job_json.write_text(json.dumps(data))
+        counts = {name: 1 for name in PerfCounters.COUNT_FIELDS}
+        (directory / "perf.json").write_text(json.dumps({
+            "flat-lifo": dict(
+                counts,
+                total_seconds=0.5,
+                coarsen_seconds=0.0,
+                inrun_proposal_seconds=0.0,
+                inrun_merge_seconds=0.0,
+                inrun_fanout_seconds=0.25,
+                compile_seconds=0.0,
+                backend="numpy",
+            )
+        }))
+
+        svc2 = CampaignService(tmp_path / "svc", workers=1,
+                               use_shared_memory=False)
+        try:
+            assert svc2.recover() == [job_id]
+            assert svc2.wait(job_id, timeout=30) == JOB_DONE
+            assert svc2._records[job_id].spec == spec
+        finally:
+            svc2.close()
+        store = RunStore(directory)
+        perf = store.load_perf()["flat-lifo"]
+        assert perf.passes == 1 and perf.total_seconds == 0.5
+        assert perf.backend == "numpy"
+        assert not hasattr(perf, "inrun_fanout_seconds")
+        store.merge_perf({"flat-lifo": PerfCounters(passes=2)})
+        rewritten = json.loads(store.perf_path.read_text())["flat-lifo"]
+        assert rewritten["passes"] == 3
+        assert not any(k.startswith("inrun") for k in rewritten)
 
     def test_resubmitted_spec_mismatch_rejected(self, tmp_path):
         svc = CampaignService(tmp_path / "svc", workers=1,
